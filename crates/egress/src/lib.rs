@@ -39,7 +39,7 @@ pub mod spill;
 pub use frame::{DataFrame, EgressRecord, MSG_EGRESS_ACK, MSG_EGRESS_DATA, MSG_EGRESS_HELLO};
 pub use server::{DeliverFn, EgressServer, EgressServerConfig, ServerStats};
 pub use sink::{EgressConfig, EgressHandle, EgressStats, TcpEgress};
-pub use spill::{SpillFrame, SpillQueue};
+pub use spill::{FrameRun, SpillQueue, SpillReader};
 
 use elasticutor_core::wire::WireError;
 

@@ -9,12 +9,21 @@
 //! watermark, stream outbox frames from the cursor, process ACKs, trim,
 //! and force a rewind-reconnect when ACKs stall past the deadline.
 //!
+//! The sender is event-driven: with nothing to send it parks in one
+//! epoll over the session socket and a doorbell, and wakes on *work* —
+//! a frame `consume` just appended (doorbell), a readable ACK, a stop
+//! request (doorbell) — or at the nearest real deadline, never on a
+//! pacing timer. `consume` rings only when the sender has published
+//! that it is parked, so while a backlog streams, or no sink is
+//! reachable, the accept path makes no wakeup syscall.
+//!
 //! Fail points: `egress.spill` fires before each outbox append (the
 //! accept path), `egress.write` before each socket write (the send
 //! path). `err` actions model transient disk/link failures — the append
 //! retries, the session reconnects; `kill` models process death.
 
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,11 +31,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use elasticutor_core::fault;
-use elasticutor_ingress::FrameScanner;
-use elasticutor_runtime::{Backoff, RecordBatch, Sink};
+use elasticutor_ingress::{Epoll, Event, EventFd, FrameScanner, EPOLLIN, EPOLLOUT};
+use elasticutor_runtime::{Backoff, ProgressNotifier, RecordBatch, Sink};
 
 use crate::frame::{decode_ctrl_frame, MSG_EGRESS_ACK, MSG_EGRESS_HELLO};
-use crate::spill::{SpillQueue, DEFAULT_SEGMENT_BYTES};
+use crate::spill::{SpillQueue, SpillReader, DEFAULT_SEGMENT_BYTES};
 use crate::EgressError;
 
 /// Tunables of a [`TcpEgress`] sink.
@@ -49,10 +58,14 @@ pub struct EgressConfig {
     /// Reconnect (and thereby retransmit from the receiver's watermark)
     /// when sent frames go unacknowledged this long.
     pub ack_deadline: Duration,
-    /// Socket write timeout and handshake deadline.
+    /// Connect and handshake deadline, and how long a write may stall
+    /// on a full socket buffer before the link counts as dead.
     pub io_timeout: Duration,
-    /// Pacing of the idle sender: how long a blocking ACK read waits
-    /// before re-checking the outbox for new frames.
+    /// Liveness heartbeat of the idle sender — **off the data path**.
+    /// An idle sender wakes on work (a new outbox frame, an ACK, a
+    /// stop), so this bounds no record's latency; it is only how often
+    /// a sender with nothing in flight looks around anyway, and how
+    /// soon it retries after an outbox read error.
     pub poll_interval: Duration,
     /// Outbox segment roll threshold.
     pub segment_bytes: u64,
@@ -155,6 +168,15 @@ struct Shared {
     stop: AtomicBool,
     /// Monotonic-ns deadline for draining after stop (0 = none set).
     drain_deadline_ns: AtomicU64,
+    /// Wakes the sender out of its wait: rung by `consume` when
+    /// `parked` is set, and by every stop request.
+    bell: EventFd,
+    /// Set by the sender before it sleeps with an empty outbox cursor;
+    /// whoever rings for new work clears it, so a burst of appends
+    /// rings once.
+    parked: AtomicBool,
+    /// Notified at every ACK, for [`EgressHandle::drain`] waiters.
+    acks: ProgressNotifier,
 }
 
 impl Shared {
@@ -199,6 +221,28 @@ impl Shared {
         deadline != 0 && elasticutor_runtime::monotonic_ns() >= deadline
     }
 
+    /// `wait`, cut to what is left of the drain deadline once a stop is
+    /// requested — so no sender wait outlives a shutdown's patience.
+    fn bounded(&self, wait: Duration) -> Duration {
+        if !self.stop.load(Ordering::Acquire) {
+            return wait;
+        }
+        let left = self
+            .drain_deadline_ns
+            .load(Ordering::Acquire)
+            .saturating_sub(elasticutor_runtime::monotonic_ns());
+        wait.min(Duration::from_nanos(left))
+    }
+
+    /// Asks the sender to stop: drain until `deadline_ns`, then exit.
+    fn request_stop(&self, deadline_ns: u64) {
+        self.drain_deadline_ns.store(deadline_ns, Ordering::Release);
+        self.stop.store(true, Ordering::Release);
+        // Unconditional (not gated on `parked`): the sender may be in
+        // connect back-off, and a stop is rare enough to afford it.
+        self.bell.ring();
+    }
+
     fn on_ack(&self, watermark: u64) {
         let c = &self.counters;
         let prev = c.acked.fetch_max(watermark, Ordering::AcqRel);
@@ -208,6 +252,7 @@ impl Shared {
             // unlink): the frames stay on disk and the next ACK retries.
             let _ = q.trim(watermark);
         }
+        self.acks.notify();
     }
 }
 
@@ -228,14 +273,9 @@ impl EgressHandle {
     /// Waits until every accepted record is acknowledged, or `timeout`
     /// elapses. Returns whether the backlog reached zero.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.shared.drained() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+        self.shared
+            .acks
+            .wait_until(timeout, || self.shared.drained())
     }
 }
 
@@ -258,18 +298,24 @@ impl TcpEgress {
         counters
             .last_appended
             .store(spill.next_seq() - 1, Ordering::Relaxed);
+        let bell = EventFd::new()?;
+        let waiter = Waiter::new(&bell)?;
+        let reader = spill.reader();
         let shared = Arc::new(Shared {
             spill: Mutex::new(spill),
             counters,
             stop: AtomicBool::new(false),
             drain_deadline_ns: AtomicU64::new(0),
+            bell,
+            parked: AtomicBool::new(false),
+            acks: ProgressNotifier::new(),
         });
         let sender = {
             let shared = Arc::clone(&shared);
             let config = config.clone();
             std::thread::Builder::new()
                 .name("egress-sender".into())
-                .spawn(move || sender_loop(&shared, &config))
+                .spawn(move || sender_loop(&shared, &config, waiter, reader))
                 .expect("spawn egress sender")
         };
         Ok(Self {
@@ -300,10 +346,7 @@ impl TcpEgress {
     pub fn shutdown(mut self, drain_timeout: Duration) -> EgressStats {
         let deadline = elasticutor_runtime::monotonic_ns()
             + drain_timeout.as_nanos().min(u128::from(u64::MAX) / 2) as u64;
-        self.shared
-            .drain_deadline_ns
-            .store(deadline, Ordering::Release);
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_stop(deadline);
         if let Some(t) = self.sender.take() {
             let _ = t.join();
         }
@@ -316,8 +359,7 @@ impl Drop for TcpEgress {
         // Dropped without shutdown(): stop immediately (no drain wait);
         // unacknowledged frames stay recoverable on disk.
         if let Some(t) = self.sender.take() {
-            self.shared.drain_deadline_ns.store(1, Ordering::Release);
-            self.shared.stop.store(true, Ordering::Release);
+            self.shared.request_stop(1);
             let _ = t.join();
         }
     }
@@ -349,7 +391,15 @@ impl Sink for TcpEgress {
                     let c = &self.shared.counters;
                     c.records_accepted
                         .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    c.last_appended.fetch_max(last_seq, Ordering::Release);
+                    c.last_appended.fetch_max(last_seq, Ordering::SeqCst);
+                    // Wake the sender only if it said it is asleep (the
+                    // other half of the handshake in `run_session`):
+                    // while it streams a backlog, or backs off with no
+                    // sink reachable, this is one load and no syscall.
+                    let parked = &self.shared.parked;
+                    if parked.load(Ordering::SeqCst) && parked.swap(false, Ordering::SeqCst) {
+                        self.shared.bell.ring();
+                    }
                     return;
                 }
                 Err(_) => {
@@ -390,7 +440,59 @@ enum SessionEnd {
     Exit,
 }
 
-fn sender_loop(shared: &Shared, config: &EgressConfig) {
+/// Most outbox bytes the sender reads and writes per loop turn: large
+/// enough that a backlog streams in a few syscalls per hundred frames,
+/// small enough that ACKs are read (and the outbox trimmed) between
+/// bursts.
+const BURST_BYTES: u64 = 256 * 1024;
+
+/// Epoll cookies of the sender's two wake sources.
+const BELL: u64 = 0;
+const SOCK: u64 = 1;
+
+/// The sender's single wait point: one epoll over the doorbell (for the
+/// sender's life) and the session socket (added per session).
+struct Waiter {
+    epoll: Epoll,
+    events: Vec<Event>,
+}
+
+impl Waiter {
+    fn new(bell: &EventFd) -> std::io::Result<Self> {
+        let epoll = Epoll::new()?;
+        epoll.add(bell.raw_fd(), EPOLLIN, BELL)?;
+        Ok(Self {
+            epoll,
+            events: Vec::new(),
+        })
+    }
+
+    /// Sleeps until the doorbell rings, the session socket is ready, or
+    /// `timeout` (cut to the drain deadline after a stop) passes; a rung
+    /// doorbell is silenced. Callers re-derive what to do from shared
+    /// state, so *why* the wait ended is not reported.
+    fn wait(&mut self, shared: &Shared, timeout: Duration) {
+        // Rounded up: a sub-millisecond remainder must not become a
+        // zero-timeout spin.
+        let ms = shared.bounded(timeout).as_nanos().div_ceil(1_000_000);
+        // An error here would mean a bad fd or pointer, neither of
+        // which this struct can produce; with no events the caller just
+        // goes around again.
+        let _ = self
+            .epoll
+            .wait(&mut self.events, i32::try_from(ms).unwrap_or(i32::MAX));
+        if self.events.iter().any(|e| e.data == BELL) {
+            shared.bell.drain();
+        }
+    }
+}
+
+fn sender_loop(
+    shared: &Shared,
+    config: &EgressConfig,
+    mut waiter: Waiter,
+    mut reader: SpillReader,
+) {
     let mut targets = vec![config.primary.clone()];
     if let Some(s) = &config.standby {
         targets.push(s.clone());
@@ -419,21 +521,31 @@ fn sender_loop(shared: &Shared, config: &EgressConfig) {
                     attempt = 0;
                     shared.counters.failovers.fetch_add(1, Ordering::Relaxed);
                 }
-                std::thread::sleep(delay);
+                // Back-off is not parking: `parked` stays clear, so with
+                // no sink reachable `consume` never pays for a wakeup
+                // that could send nothing. Only a stop rings through.
+                let until = Instant::now() + delay;
+                while !shared.should_exit() {
+                    let left = until.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    waiter.wait(shared, left);
+                }
                 continue;
             }
         };
         attempt = 0;
         shared.counters.connects.fetch_add(1, Ordering::Relaxed);
-        match run_session(shared, config, &sock) {
-            SessionEnd::Exit => {
-                let _ = sock.shutdown(Shutdown::Both);
-                return;
-            }
-            SessionEnd::Reconnect => {
-                let _ = sock.shutdown(Shutdown::Both);
-                shared.counters.connected.store(false, Ordering::Relaxed);
-            }
+        let end = match waiter.epoll.add(sock.as_raw_fd(), EPOLLIN, SOCK) {
+            Ok(()) => run_session(shared, config, &sock, &mut waiter, &mut reader),
+            Err(_) => SessionEnd::Reconnect,
+        };
+        let _ = waiter.epoll.delete(sock.as_raw_fd());
+        let _ = sock.shutdown(Shutdown::Both);
+        shared.counters.connected.store(false, Ordering::Relaxed);
+        if matches!(end, SessionEnd::Exit) {
+            return;
         }
     }
 }
@@ -446,25 +558,37 @@ fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 }
 
 /// One connected session: HELLO handshake, then stream-and-ACK until
-/// something ends it.
-fn run_session(shared: &Shared, config: &EgressConfig, sock: &TcpStream) -> SessionEnd {
+/// something ends it. The socket is non-blocking throughout; the only
+/// place the thread sleeps is [`Waiter::wait`].
+fn run_session(
+    shared: &Shared,
+    config: &EgressConfig,
+    sock: &TcpStream,
+    waiter: &mut Waiter,
+    reader: &mut SpillReader,
+) -> SessionEnd {
     let _ = sock.set_nodelay(true);
-    let _ = sock.set_write_timeout(Some(config.io_timeout));
-    let _ = sock.set_read_timeout(Some(config.poll_interval));
+    if sock.set_nonblocking(true).is_err() {
+        return SessionEnd::Reconnect;
+    }
 
     let mut scanner = FrameScanner::new();
     // Handshake: the receiver leads with its watermark.
     let hello_deadline = Instant::now() + config.io_timeout;
     let watermark = loop {
-        match read_watermark(sock, &mut scanner, MSG_EGRESS_HELLO) {
+        match read_watermarks(sock, &mut scanner, MSG_EGRESS_HELLO) {
             Ok(Some(wm)) => break wm,
-            Ok(None) => {
-                if Instant::now() >= hello_deadline {
-                    return SessionEnd::Reconnect;
-                }
-            }
+            Ok(None) => {}
             Err(()) => return SessionEnd::Reconnect,
         }
+        if shared.should_exit() {
+            return SessionEnd::Exit;
+        }
+        let left = hello_deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return SessionEnd::Reconnect;
+        }
+        waiter.wait(shared, left);
     };
     shared.on_ack(watermark);
     shared.counters.connected.store(true, Ordering::Relaxed);
@@ -474,49 +598,10 @@ fn run_session(shared: &Shared, config: &EgressConfig, sock: &TcpStream) -> Sess
     // receiver's dedup window swallows the overlap.
     let mut next_to_send = watermark + 1;
     let mut last_ack_progress = Instant::now();
-    use std::io::Write;
+    let mut burst = Vec::with_capacity(BURST_BYTES as usize);
 
     loop {
-        if shared.should_exit() {
-            return SessionEnd::Exit;
-        }
-        // Send phase: stream the next outbox frame, if any.
-        let frame = {
-            let mut q = shared.spill.lock().unwrap_or_else(|e| e.into_inner());
-            q.frame_at_or_after(next_to_send)
-        };
-        let wrote = match frame {
-            Err(_) => {
-                // Outbox read failure mid-run: transient (EINTR, racing
-                // trim). Back off via the idle path.
-                false
-            }
-            Ok(None) => false,
-            Ok(Some(f)) => {
-                if fault::fail_point("egress.write").is_err() {
-                    return SessionEnd::Reconnect;
-                }
-                if (&mut (&*sock)).write_all(&f.bytes).is_err() {
-                    return SessionEnd::Reconnect;
-                }
-                let c = &shared.counters;
-                let count = f.last_seq - f.first_seq + 1;
-                c.frames_sent.fetch_add(1, Ordering::Relaxed);
-                c.records_sent.fetch_add(count, Ordering::Relaxed);
-                let prev_max = c.max_sent.fetch_max(f.last_seq, Ordering::Relaxed);
-                if f.first_seq <= prev_max {
-                    let dup = prev_max.min(f.last_seq) - f.first_seq + 1;
-                    c.records_retransmitted.fetch_add(dup, Ordering::Relaxed);
-                }
-                next_to_send = f.last_seq + 1;
-                true
-            }
-        };
-
-        // ACK phase: opportunistic (non-blocking) while streaming, a
-        // blocking poll-interval read when idle — idleness paces the
-        // loop, backlog never waits on it.
-        match drain_acks(sock, &mut scanner, !wrote) {
+        match read_watermarks(sock, &mut scanner, MSG_EGRESS_ACK) {
             Ok(Some(wm)) => {
                 shared.on_ack(wm);
                 last_ack_progress = Instant::now();
@@ -524,97 +609,169 @@ fn run_session(shared: &Shared, config: &EgressConfig, sock: &TcpStream) -> Sess
             Ok(None) => {}
             Err(()) => return SessionEnd::Reconnect,
         }
-
-        let acked = shared.counters.acked.load(Ordering::Acquire);
-        if acked + 1 >= next_to_send {
-            // Nothing in flight.
-            last_ack_progress = Instant::now();
-        } else if last_ack_progress.elapsed() >= config.ack_deadline {
+        // After the ACKs, not before: the ACK that completes a drain
+        // must end a stopping session now, not at the next wake.
+        if shared.should_exit() {
+            return SessionEnd::Exit;
+        }
+        let in_flight = shared.counters.acked.load(Ordering::Acquire) + 1 < next_to_send;
+        if in_flight && last_ack_progress.elapsed() >= config.ack_deadline {
             // Sent frames unacknowledged past the deadline: the link or
             // receiver is wedged. Reconnect; the HELLO watermark rewinds
             // the cursor and everything unacked is retransmitted.
             return SessionEnd::Reconnect;
         }
+
+        // Send phase: everything pending, up to one burst. The lock
+        // covers the index lookup only — the disk read and the socket
+        // write happen outside it, so `consume` never queues behind the
+        // sender's I/O.
+        let pending = {
+            let q = shared.spill.lock().unwrap_or_else(|e| e.into_inner());
+            // Nothing indexed at or after the cursor: whatever lies
+            // between it and `next_seq` was acknowledged and trimmed (a
+            // rewind to a receiver that lost its watermark), so the
+            // cursor belongs at `next_seq`.
+            q.pending_run(next_to_send, BURST_BYTES)
+                .ok_or_else(|| q.next_seq())
+        };
+        match pending {
+            Ok(run) => {
+                // An outbox read failure mid-run is transient (EINTR, a
+                // full file table): retry on the heartbeat below rather
+                // than spin on it.
+                if reader.read(&run, &mut burst).is_ok() {
+                    if fault::fail_point("egress.write").is_err() {
+                        return SessionEnd::Reconnect;
+                    }
+                    if send_all(sock, &burst, config.io_timeout, shared, waiter).is_err() {
+                        return SessionEnd::Reconnect;
+                    }
+                    let c = &shared.counters;
+                    c.frames_sent.fetch_add(run.frames, Ordering::Relaxed);
+                    c.records_sent
+                        .fetch_add(run.last_seq - run.first_seq + 1, Ordering::Relaxed);
+                    let prev_max = c.max_sent.fetch_max(run.last_seq, Ordering::Relaxed);
+                    if run.first_seq <= prev_max {
+                        let dup = prev_max.min(run.last_seq) - run.first_seq + 1;
+                        c.records_retransmitted.fetch_add(dup, Ordering::Relaxed);
+                    }
+                    if !in_flight {
+                        // The ACK clock starts when something is owed.
+                        last_ack_progress = Instant::now();
+                    }
+                    next_to_send = run.last_seq + 1;
+                    if burst.capacity() > 2 * BURST_BYTES as usize {
+                        // A frame far larger than the budget grew the
+                        // buffer: give the excess back rather than keep
+                        // its high-water mark resident all session.
+                        // (Frames just over the budget — one doubling —
+                        // are not worth a realloc per burst.)
+                        burst.truncate(BURST_BYTES as usize);
+                        burst.shrink_to(BURST_BYTES as usize);
+                    }
+                    // Straight back for the next burst: a sender with a
+                    // backlog never parks.
+                    continue;
+                }
+            }
+            Err(next_seq) => {
+                next_to_send = next_seq;
+                // Park on work. Publish `parked`, then re-check the
+                // outbox: `consume` bumps `last_appended`, then reads
+                // `parked` — all four accesses SeqCst, so either this
+                // load sees the append or `consume` sees the flag and
+                // rings (the waiter-gating handshake of
+                // `runtime::ProgressNotifier`).
+                shared.parked.store(true, Ordering::SeqCst);
+                if shared.counters.last_appended.load(Ordering::SeqCst) >= next_to_send {
+                    shared.parked.store(false, Ordering::SeqCst);
+                    continue;
+                }
+            }
+        }
+        // The wait ends at new work (doorbell), a readable ACK, a stop
+        // (doorbell), or the nearest real deadline: what is left of the
+        // ACK deadline with frames in flight, otherwise the liveness
+        // heartbeat.
+        let timeout = if in_flight {
+            config
+                .ack_deadline
+                .saturating_sub(last_ack_progress.elapsed())
+        } else {
+            config.poll_interval
+        };
+        waiter.wait(shared, timeout);
+        shared.parked.store(false, Ordering::SeqCst);
     }
 }
 
-/// Reads until one control frame of type `want` arrives (`Ok(Some)`), a
-/// read timeout passes with nothing (`Ok(None)`), or the stream ends or
-/// violates the protocol (`Err`).
-fn read_watermark(
+/// Writes all of `bytes` to the non-blocking `sock`. A full socket
+/// buffer waits for writability on the sender's epoll; `io_timeout`
+/// without a byte of progress is a dead link.
+fn send_all(
+    sock: &TcpStream,
+    mut bytes: &[u8],
+    io_timeout: Duration,
+    shared: &Shared,
+    waiter: &mut Waiter,
+) -> std::io::Result<()> {
+    use std::io::{Error, ErrorKind, Write};
+    let mut stalled_since: Option<Instant> = None;
+    while !bytes.is_empty() {
+        match (&mut (&*sock)).write(bytes) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                bytes = &bytes[n..];
+                stalled_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let left = io_timeout
+                    .saturating_sub(stalled_since.get_or_insert_with(Instant::now).elapsed());
+                if left.is_zero() {
+                    return Err(Error::new(ErrorKind::TimedOut, "egress write stalled"));
+                }
+                // ACKs wait their turn (level-triggered: still readable
+                // after the write), as they did behind a blocking write.
+                waiter.epoll.modify(sock.as_raw_fd(), EPOLLOUT, SOCK)?;
+                waiter.wait(shared, left);
+                waiter.epoll.modify(sock.as_raw_fd(), EPOLLIN, SOCK)?;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Reads whatever the socket holds, without blocking, and returns the
+/// highest watermark among the control frames that arrived (`Ok(None)`
+/// if no complete one did). Every frame must be of type `want` — HELLO
+/// during the handshake, ACK after it; anything else, EOF, or a link
+/// error is `Err`.
+fn read_watermarks(
     sock: &TcpStream,
     scanner: &mut FrameScanner,
     want: u8,
 ) -> Result<Option<u64>, ()> {
-    if let Some(frame) = scanner.next_frame().map_err(|_| ())? {
-        return decode_ctrl_frame(want, &frame.1)
-            .map(Some)
-            .map_err(|_| ())
-            .and_then(|wm| if frame.0 == want { Ok(wm) } else { Err(()) });
-    }
-    let mut buf = [0u8; 4096];
-    use std::io::Read;
-    match (&mut (&*sock)).read(&mut buf) {
-        Ok(0) => Err(()),
-        Ok(n) => {
-            scanner.extend(&buf[..n]);
-            match scanner.next_frame().map_err(|_| ())? {
-                Some((t, payload)) if t == want => {
-                    decode_ctrl_frame(want, &payload).map(Some).map_err(|_| ())
-                }
-                Some(_) => Err(()),
-                None => Ok(None),
-            }
-        }
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            Ok(None)
-        }
-        Err(_) => Err(()),
-    }
-}
-
-/// Drains every available ACK, returning the highest watermark seen (if
-/// any). `blocking` uses the socket's read timeout; otherwise the read
-/// is non-blocking so a streaming sender never stalls on it.
-fn drain_acks(
-    sock: &TcpStream,
-    scanner: &mut FrameScanner,
-    blocking: bool,
-) -> Result<Option<u64>, ()> {
-    let _ = sock.set_nonblocking(!blocking);
+    use std::io::{ErrorKind, Read};
     let mut best: Option<u64> = None;
     let mut buf = [0u8; 4096];
-    use std::io::Read;
     loop {
         // Frames already buffered first.
         while let Some((t, payload)) = scanner.next_frame().map_err(|_| ())? {
-            if t != MSG_EGRESS_ACK {
-                let _ = sock.set_nonblocking(false);
+            if t != want {
                 return Err(());
             }
-            let wm = decode_ctrl_frame(MSG_EGRESS_ACK, &payload).map_err(|_| ())?;
+            let wm = decode_ctrl_frame(want, &payload).map_err(|_| ())?;
             best = Some(best.map_or(wm, |b| b.max(wm)));
         }
         match (&mut (&*sock)).read(&mut buf) {
-            Ok(0) => {
-                let _ = sock.set_nonblocking(false);
-                return Err(());
-            }
+            Ok(0) => return Err(()),
             Ok(n) => scanner.extend(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let _ = sock.set_nonblocking(false);
-                return Ok(best);
-            }
-            Err(_) => {
-                let _ = sock.set_nonblocking(false);
-                return Err(());
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(best),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Err(()),
         }
     }
 }

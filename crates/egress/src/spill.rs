@@ -3,9 +3,11 @@
 //! Every batch the sink accepts is encoded as one checked DATA frame
 //! (see [`crate::frame`]) and appended here *before* anything touches
 //! the network: the queue is not a fallback for bad days, it is the
-//! single retransmission source of truth. The sender thread streams
-//! raw frame bytes out of the queue through a cursor; the receiver's
-//! ACK watermark trims fully-acknowledged segments behind it. When the
+//! single retransmission source of truth. The sender thread asks the
+//! index where the frames after its cursor lie ([`SpillQueue::pending_run`])
+//! and reads the raw bytes back through its own handle ([`SpillReader`]),
+//! so the queue's lock is held for the lookup only; the receiver's ACK
+//! watermark trims fully-acknowledged segments behind it. When the
 //! sink is healthy the queue stays a few frames long (append, send,
 //! trim); when no sink is reachable it simply grows — the DAG never
 //! blocks on the network and never drops a record.
@@ -31,7 +33,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use elasticutor_core::wire::{FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_VERSION};
@@ -43,16 +46,24 @@ use crate::EgressError;
 /// Default segment roll threshold.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
-/// One raw frame handed to the sender: the delivery-seq range it covers
-/// and the exact wire bytes to put on the socket.
-#[derive(Clone, Debug)]
-pub struct SpillFrame {
-    /// Delivery seq of the first record in the frame.
+/// Where a run of whole frames lies: back-to-back in one segment file,
+/// covering a contiguous delivery-seq range. What
+/// [`SpillQueue::pending_run`] hands the sender and [`SpillReader::read`]
+/// turns into the exact wire bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct FrameRun {
+    /// `first_seq` of the segment holding the run (names its file).
+    pub seg: u64,
+    /// Byte offset of the run's first frame within the segment file.
+    pub offset: u64,
+    /// Total bytes of the run (whole frames, headers included).
+    pub len: u64,
+    /// Delivery seq of the first record in the run.
     pub first_seq: u64,
-    /// Delivery seq of the last record in the frame.
+    /// Delivery seq of the last record in the run.
     pub last_seq: u64,
-    /// Complete wire frame (header + checked payload).
-    pub bytes: Vec<u8>,
+    /// Frames in the run.
+    pub frames: u64,
 }
 
 /// Where one frame lives on disk.
@@ -93,8 +104,31 @@ pub struct SpillQueue {
     frames: BTreeMap<u64, FrameLoc>,
     /// Next delivery seq to assign (first record ever gets seq 1).
     next_seq: u64,
-    /// Cached read handle (segment first_seq, file) for cursor reads.
-    reader: Option<(u64, File)>,
+}
+
+/// The sender's read side of the outbox: its own handle onto the
+/// segment its cursor is in, so cursor reads are positioned reads
+/// (`pread`) that never take the queue's lock. A segment the receiver
+/// has acknowledged (and [`SpillQueue::trim`] unlinked) stays readable
+/// through the open handle; a run at or above the cursor is never
+/// trimmed, so a segment is always opened while its file exists.
+#[derive(Debug)]
+pub struct SpillReader {
+    dir: PathBuf,
+    /// `(segment first_seq, file)` of the segment last read from.
+    open: Option<(u64, File)>,
+}
+
+impl SpillReader {
+    /// Reads the bytes of `run` into `buf` (resized to `run.len`).
+    pub fn read(&mut self, run: &FrameRun, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        if !matches!(&self.open, Some((seg, _)) if *seg == run.seg) {
+            self.open = Some((run.seg, File::open(segment_path(&self.dir, run.seg))?));
+        }
+        let (_, file) = self.open.as_ref().expect("handle just set");
+        buf.resize(run.len as usize, 0);
+        file.read_exact_at(buf, run.offset)
+    }
 }
 
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
@@ -221,7 +255,6 @@ impl SpillQueue {
             active,
             frames,
             next_seq,
-            reader: None,
         })
     }
 
@@ -296,39 +329,49 @@ impl SpillQueue {
         self.segments.values().map(|s| s.bytes).sum()
     }
 
-    /// Reads the first frame whose `last_seq >= seq` — the sender's
-    /// cursor read. `None` means everything at or after `seq` is still
-    /// unwritten (caller waits for appends).
-    pub fn frame_at_or_after(&mut self, seq: u64) -> Result<Option<SpillFrame>, EgressError> {
+    /// A read side for the sender thread (see [`SpillReader`]).
+    pub fn reader(&self) -> SpillReader {
+        SpillReader {
+            dir: self.dir.clone(),
+            open: None,
+        }
+    }
+
+    /// Locates everything pending at the sender's cursor: the run of
+    /// frames starting with the first one whose `last_seq >= seq`, up to
+    /// `budget` bytes (one frame at least) or the end of its segment.
+    /// `None` means everything at or after `seq` is still unwritten
+    /// (caller waits for appends). An index lookup only — no I/O.
+    pub fn pending_run(&self, seq: u64, budget: u64) -> Option<FrameRun> {
         // The frame containing `seq` starts at the greatest first_seq
         // <= seq (frames are contiguous); if that frame ends before
         // `seq` (trimmed boundary), the next index entry is the one.
-        let loc = self
+        let start = self
             .frames
             .range(..=seq)
             .next_back()
             .filter(|(_, l)| l.last_seq >= seq)
-            .or_else(|| self.frames.range(seq..).next())
-            .map(|(&first, &loc)| (first, loc));
-        let Some((first, loc)) = loc else {
-            return Ok(None);
+            .map_or(seq, |(&first, _)| first);
+        let mut frames = self.frames.range(start..);
+        let (&first_seq, head) = frames.next()?;
+        let mut run = FrameRun {
+            seg: head.seg,
+            offset: head.offset,
+            len: head.len,
+            first_seq,
+            last_seq: head.last_seq,
+            frames: 1,
         };
-        if !matches!(&self.reader, Some((seg, _)) if *seg == loc.seg) {
-            let seg = self
-                .segments
-                .get(&loc.seg)
-                .expect("indexed frame has a segment");
-            self.reader = Some((loc.seg, File::open(&seg.path)?));
+        for (_, loc) in frames {
+            let adjacent = loc.seg == run.seg && loc.offset == run.offset + run.len;
+            if !adjacent || run.len + loc.len > budget {
+                break;
+            }
+            run.len += loc.len;
+            run.last_seq = loc.last_seq;
+            run.frames += 1;
         }
-        let (_, file) = self.reader.as_mut().expect("reader just set");
-        file.seek(SeekFrom::Start(loc.offset))?;
-        let mut bytes = vec![0u8; loc.len as usize];
-        file.read_exact(&mut bytes)?;
-        Ok(Some(SpillFrame {
-            first_seq: first,
-            last_seq: loc.last_seq,
-            bytes,
-        }))
+        Some(run)
     }
 
     /// Drops state the receiver has acknowledged: prunes the frame
@@ -361,9 +404,6 @@ impl SpillQueue {
             .collect();
         for f in dead_segs {
             let seg = self.segments.remove(&f).expect("listed");
-            if matches!(self.reader, Some((r, _)) if r == f) {
-                self.reader = None;
-            }
             std::fs::remove_file(&seg.path)?;
         }
         Ok(())
@@ -401,19 +441,66 @@ mod tests {
         assert_eq!((f1, l1), (1, 3));
         assert_eq!((f2, l2), (4, 5));
 
-        let fr = q.frame_at_or_after(1).unwrap().unwrap();
-        assert_eq!((fr.first_seq, fr.last_seq), (1, 3));
+        // A one-byte budget still yields a whole frame.
+        let one = |q: &SpillQueue, seq| q.pending_run(seq, 1).map(|r| (r.first_seq, r.last_seq));
+        assert_eq!(one(&q, 1), Some((1, 3)));
         // Mid-frame seq lands on the frame containing it.
-        let fr = q.frame_at_or_after(2).unwrap().unwrap();
-        assert_eq!((fr.first_seq, fr.last_seq), (1, 3));
-        let fr = q.frame_at_or_after(4).unwrap().unwrap();
-        assert_eq!((fr.first_seq, fr.last_seq), (4, 5));
-        assert!(q.frame_at_or_after(6).unwrap().is_none());
+        assert_eq!(one(&q, 2), Some((1, 3)));
+        assert_eq!(one(&q, 4), Some((4, 5)));
+        assert_eq!(one(&q, 6), None);
+
+        // With room, the run takes everything pending — and reads back
+        // as the exact bytes of both frames, in order.
+        let run = q.pending_run(1, u64::MAX).unwrap();
+        assert_eq!((run.first_seq, run.last_seq, run.frames), (1, 5, 2));
+        let mut expect = Vec::new();
+        encode_data_frame(&mut expect, 1, &recs(3, 0xA1));
+        encode_data_frame(&mut expect, 4, &recs(2, 0xB2));
+        let mut reader = q.reader();
+        let mut got = Vec::new();
+        reader.read(&run, &mut got).unwrap();
+        assert_eq!(got, expect);
 
         q.trim(3).unwrap();
         assert_eq!(q.frame_count(), 1);
-        let fr = q.frame_at_or_after(2).unwrap().unwrap();
-        assert_eq!((fr.first_seq, fr.last_seq), (4, 5));
+        assert_eq!(one(&q, 2), Some((4, 5)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn runs_stop_at_segment_rolls_and_outlive_the_trim() {
+        let dir = tmp("runs");
+        let mut q = SpillQueue::open(&dir, 128).unwrap();
+        let mut expect = Vec::new();
+        for i in 0..10u8 {
+            let (first, _) = q.append(&recs(4, i)).unwrap();
+            encode_data_frame(&mut expect, first, &recs(4, i));
+        }
+        assert!(q.segments.len() > 2, "expected several rolls");
+
+        // Walking the cursor run by run crosses every roll and yields
+        // the exact byte stream, each run confined to one segment.
+        let mut reader = q.reader();
+        let (mut got, mut buf, mut seq, mut runs) = (Vec::new(), Vec::new(), 1, Vec::new());
+        while let Some(run) = q.pending_run(seq, u64::MAX) {
+            reader.read(&run, &mut buf).unwrap();
+            got.extend_from_slice(&buf);
+            seq = run.last_seq + 1;
+            runs.push(run);
+        }
+        assert_eq!(got, expect);
+        assert_eq!(runs.len(), q.segments.len());
+        assert_eq!(seq, q.next_seq());
+
+        // The sender's handle keeps an acknowledged, unlinked segment
+        // readable: a run located before the trim still reads after it.
+        let first = runs[0];
+        reader.read(&first, &mut buf).unwrap();
+        q.trim(first.last_seq).unwrap();
+        assert!(!segment_path(&dir, first.seg).exists());
+        let before = buf.clone();
+        reader.read(&first, &mut buf).unwrap();
+        assert_eq!(buf, before);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -428,11 +515,11 @@ mod tests {
             // Several segments rolled (128-byte threshold).
             assert!(q.segments.len() > 1, "expected a roll");
         }
-        let mut q = SpillQueue::open(&dir, 128).unwrap();
+        let q = SpillQueue::open(&dir, 128).unwrap();
         assert_eq!(q.next_seq(), 41);
         assert_eq!(q.frame_count(), 10);
-        let fr = q.frame_at_or_after(17).unwrap().unwrap();
-        assert!(fr.first_seq <= 17 && fr.last_seq >= 17);
+        let run = q.pending_run(17, 1).unwrap();
+        assert!(run.first_seq <= 17 && run.last_seq >= 17);
         std::fs::remove_dir_all(&dir).ok();
     }
 

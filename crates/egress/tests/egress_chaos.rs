@@ -40,7 +40,13 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
 /// Captures one real egress session through a tee proxy and returns
 /// `(client_to_server_bytes, server_to_client_bytes)`.
 fn capture_session() -> (Vec<u8>, Vec<u8>) {
-    let dir = tmp_dir("capture");
+    // Both tests capture a session, on parallel test threads: each call
+    // needs a spill directory of its own.
+    static CAPTURES: AtomicU64 = AtomicU64::new(0);
+    let dir = tmp_dir(&format!(
+        "capture{}",
+        CAPTURES.fetch_add(1, Ordering::Relaxed)
+    ));
     let delivered = Arc::new(AtomicU64::new(0));
     let d = Arc::clone(&delivered);
     let server = EgressServer::bind(

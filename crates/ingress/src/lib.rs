@@ -25,6 +25,9 @@ pub mod replay;
 pub mod tcp;
 
 pub use codec::{decode_batch, encode_batch, write_record_frame, FrameScanner, RECORD_FRAME};
+// The readiness primitives this plane is built on, for the egress plane's
+// event-driven sender (which depends on this crate, not on the shim).
+pub use epoll::{Epoll, Event, EventFd, EPOLLIN, EPOLLOUT};
 pub use replay::{write_replay_file, FileReplaySource, ReplayWriter};
 pub use tcp::{IngressConfig, IngressStats, TcpIngress};
 

@@ -1026,7 +1026,16 @@ impl<O: Operator> ElasticExecutor<O> {
             // while the `draining` flag blocks new inbound moves, the
             // task stays empty.
             let (owned, pending_to_task) = {
-                let rs = self.inner.routing.lock();
+                let mut rs = self.inner.routing.lock();
+                if !rs.senders.contains_key(&task) {
+                    // Halted under us (the group retired this instance
+                    // mid-drain): every task is already stopped and
+                    // unregistered, and no survivor is left to take the
+                    // local copies this loop would otherwise wait on
+                    // forever.
+                    rs.draining.remove(&task);
+                    return Err(Error::UnknownTask(task));
+                }
                 let tracker = self.inner.reassigns.lock();
                 // Remote shards keep a stale local mapping; they are not
                 // owned by anyone here and must not block the drain.
@@ -1057,8 +1066,14 @@ impl<O: Operator> ElasticExecutor<O> {
         let (link, slot) = {
             let mut rs = self.inner.routing.lock();
             rs.draining.remove(&task);
-            let link = rs.senders.remove(&task).expect("checked present");
-            let slot = rs.task_slots.remove(&task).expect("slot registered");
+            // "Checked present" at entry, but the drain above ran
+            // unlocked: a concurrent halt (the group retiring this
+            // instance) may have stopped and unregistered every task
+            // since. Then there is nothing left to remove.
+            let (Some(link), Some(slot)) = (rs.senders.remove(&task), rs.task_slots.remove(&task))
+            else {
+                return Err(Error::UnknownTask(task));
+            };
             *self.inner.slots[slot].sender.write() = None;
             // Dropping the producer closes the ring; it is empty — the
             // drain above moved every shard off this task, and each
@@ -1066,7 +1081,10 @@ impl<O: Operator> ElasticExecutor<O> {
             *self.inner.slots[slot].ring.write() = None;
             (link, slot)
         };
-        link.send_now(TaskMsg::Stop).expect("task channel open");
+        // A halt that has sent its own `Stop` but not yet unregistered
+        // the tasks leaves a closed channel here: the thread is already
+        // on its way out (and `halt` owns its join handle).
+        let _ = link.send_now(TaskMsg::Stop);
         let mut threads = self.threads.lock();
         if let Some(pos) = threads.iter().position(|(id, _)| *id == task) {
             let (_, handle) = threads.remove(pos);
@@ -1111,9 +1129,15 @@ impl<O: Operator> ElasticExecutor<O> {
             .reassigns
             .lock()
             .begin(shard, from, to, monotonic_ns(), ());
-        rs.senders[&from]
-            .send(TaskMsg::Label(label))
-            .expect("task channel open");
+        if rs.senders[&from].send(TaskMsg::Label(label)).is_err() {
+            // The owner's channel closed under us (a halt stopped the
+            // task threads and has not unregistered them yet): unwind
+            // the move under this same lock hold.
+            let _ = self.inner.reassigns.lock().abort(label);
+            let _ = rs.table.abort_reassignment(shard);
+            self.inner.shard_table.abort(shard);
+            return Err(Error::UnknownTask(from));
+        }
         Ok(())
     }
 
@@ -1714,6 +1738,15 @@ impl<O: Operator> ElasticExecutor<O> {
         self.inner.arrivals.fetch_add(1, Ordering::Relaxed);
         self.inner.shard_counts[shard.index()].fetch_add(1, Ordering::Relaxed);
         let mut rs = self.inner.routing.lock();
+        if let Some(forward) = rs.remote.get(&shard).cloned() {
+            // Forward onward outside the lock, as the wait-free path
+            // does: an in-process forwarder takes the next executor's
+            // routing lock, and that executor may be replaying a
+            // migration buffer into this one under its own.
+            drop(rs);
+            forward(shard, record);
+            return;
+        }
         Self::route_locked(&mut rs, shard, record);
     }
 

@@ -41,7 +41,9 @@
 //!    buffer through `forward` (a [`ElasticExecutor::deliver_to_owner`]
 //!    closure that bypasses the destination's pause buffer), then mark
 //!    `s` remote at the old instance so any straggler submit that read
-//!    the router before the flip forwards the same way.
+//!    the router before the flip forwards the same way (until step 6;
+//!    a later straggler is routed at the destination like any submit,
+//!    so it follows the shard if it has moved on again).
 //! 6. `new.adopt_finish(s)` — flush the destination's buffered records
 //!    *behind* the replays and reopen the fast path.
 //!
@@ -62,7 +64,7 @@
 //! retired husk so its monotonic `processed`/`emitted` counters keep
 //! contributing to the group sums that quiescence checks compare.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -527,7 +529,32 @@ impl ExecutorGroup {
     /// buffered records) from `from` to `to`, flipping the group router
     /// mid-handshake. See the module docs for the six-step sequence and
     /// its FIFO argument.
+    ///
+    /// An intra-executor reassignment of the same shard — a §3.1
+    /// rebalance move, or the drain of a task the controller is
+    /// revoking — may hold it paused at either end. Such a move is
+    /// over as soon as its label drains, and every refusal on that
+    /// ground leaves both ends exactly as they were, so it is waited
+    /// out here: failing the rescale instead would strand the group
+    /// half-migrated, its map ahead of its router.
     fn migrate_shard(
+        &self,
+        from: &Arc<ElasticExecutor<BoxedOperator>>,
+        to: &Arc<ElasticExecutor<BoxedOperator>>,
+        to_id: u32,
+        shard: ShardId,
+    ) -> Result<()> {
+        loop {
+            match self.try_migrate_shard(from, to, to_id, shard) {
+                Err(Error::ReassignmentInProgress(_)) => {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+                done => return done,
+            }
+        }
+    }
+
+    fn try_migrate_shard(
         &self,
         from: &Arc<ElasticExecutor<BoxedOperator>>,
         to: &Arc<ElasticExecutor<BoxedOperator>>,
@@ -552,17 +579,35 @@ impl ExecutorGroup {
         // the router pre-flip. The closure holds a `Weak` so a retired
         // husk's forwarder never keeps the destination alive at
         // shutdown.
+        //
+        // Bypassing the destination's pause buffer is right only while
+        // this adoption is open. The forwarder outlives it: a submitter
+        // descheduled between its router read and its submit can come
+        // through after the shard has moved on again (remote at the
+        // destination too, or paused for its next move), and a direct
+        // delivery then would run the record against a store that no
+        // longer hosts the shard. Once adopted, stragglers route like
+        // any submit — the same split the cross-process transport makes
+        // between DATA inside and outside the COMMIT→DONE window.
         let target = Arc::downgrade(to);
+        let adopted = Arc::new(AtomicBool::new(false));
+        let adoption_over = Arc::clone(&adopted);
         from.complete_migration(
             shard,
             Arc::new(move |s, r| {
                 if let Some(t) = target.upgrade() {
-                    let _ = t.deliver_to_owner(s, r);
+                    if adoption_over.load(Ordering::Acquire) {
+                        t.receive_remote(s, r);
+                    } else {
+                        let _ = t.deliver_to_owner(s, r);
+                    }
                 }
             }),
             || {},
         )?;
-        to.adopt_finish(shard)
+        to.adopt_finish(shard)?;
+        adopted.store(true, Ordering::Release);
+        Ok(())
     }
 
     /// Tears the group down, consuming it: every instance is shut down

@@ -1,11 +1,13 @@
 //! Live executor-group rescaling: instance counts change under load
 //! with per-key FIFO and exact record conservation intact.
 //!
-//! These tests drive the in-process §3.3 scale handshake three ways:
+//! These tests drive the in-process §3.3 scale handshake four ways:
 //! through the DAG (the acceptance path: a hot operator grows 1 → 2
 //! instances while records flow), directly against an [`ExecutorGroup`]
-//! with *concurrent* submitter threads racing the rescales, and with a
-//! scale-in whose victim still holds in-flight ring items.
+//! with *concurrent* submitter threads racing the rescales, with a
+//! scale-in whose victim still holds in-flight ring items, and with the
+//! live controller revoking task threads from the very instance a
+//! scripted scale-in is retiring.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +17,9 @@ use bytes::Bytes;
 use elasticutor_core::hash::key_to_shard;
 use elasticutor_core::ids::{Key, ShardId};
 use elasticutor_runtime::Ingest;
-use elasticutor_runtime::{ExecutorConfig, ExecutorGroup, FifoChecker, LiveDag, Operator, Record};
+use elasticutor_runtime::{
+    ControllerConfig, ExecutorConfig, ExecutorGroup, FifoChecker, LiveDag, Operator, Record,
+};
 use elasticutor_state::StateHandle;
 
 /// Stateful order-checking operator: verifies per-key seq order at the
@@ -304,4 +308,82 @@ fn scale_in_drains_in_flight_ring_items() {
     assert_eq!(log.len(), 1);
     assert!(!log[0].grew);
     assert!(log[0].shards_moved > 0);
+}
+
+/// The controller's core revocation (`remove_task_newest` → the drain
+/// loop of `ElasticExecutor::remove_task`) racing scripted rescales of
+/// the same operator. Every new instance starts with three task threads
+/// under a trickle of load, so each controller tick revokes threads —
+/// from the instance with the most, which is the newest, which is the
+/// one the next `scale_in` retires. When the retirement halts the
+/// instance while a revocation is mid-drain, the revocation must come
+/// back as a typed error the controller shrugs off; it used to panic
+/// the controller thread (`expect("checked present")`). A dead
+/// controller surfaces in `shutdown`, which joins it.
+#[test]
+fn controller_revocation_racing_scale_in_does_not_panic() {
+    const KEYS: u64 = 64;
+    const ROUNDS: u64 = 60;
+    const PER_STEP: u64 = 150;
+    let order = Arc::new(FifoChecker::new());
+    let processed = Arc::new(AtomicU64::new(0));
+
+    let mut b = LiveDag::builder();
+    let hot = b.source(
+        "hot",
+        ExecutorConfig {
+            num_shards: 64,
+            initial_tasks: 3,
+            ..ExecutorConfig::default()
+        },
+        CountingChecker {
+            order: Arc::clone(&order),
+            processed: Arc::clone(&processed),
+        },
+    );
+    b.parallelism(hot, 1).controller(ControllerConfig {
+        interval: Duration::from_millis(1),
+        total_cores: 8,
+        reclaim_patience: 1,
+        ..ControllerConfig::default()
+    });
+    let dag = b.build().expect("single-operator topology");
+
+    let mut seqs = vec![0u64; KEYS as usize];
+    let mut sent = 0u64;
+    let mut feed = |n: u64| {
+        for _ in 0..n {
+            let key = (sent * 17) % KEYS;
+            seqs[key as usize] += 1;
+            dag.port(hot)
+                .ingest(Record::new(Key(key), Bytes::new()).with_seq(seqs[key as usize]));
+            sent += 1;
+        }
+    };
+    for _ in 0..ROUNDS {
+        feed(PER_STEP);
+        dag.scale_out(hot).expect("grow to 2 instances");
+        // Long enough for a tick to start revoking the newcomer's
+        // surplus threads, short enough that it is rarely done.
+        feed(PER_STEP);
+        std::thread::sleep(Duration::from_millis(1));
+        dag.scale_in(hot).expect("shrink back to 1");
+    }
+    let total = sent;
+    dag.drain();
+
+    assert_eq!(
+        order.violations(),
+        Vec::<(u64, u64, u64)>::new(),
+        "per-key FIFO violated while revocations raced rescales"
+    );
+    assert_eq!(
+        processed.load(Ordering::Relaxed),
+        total,
+        "lost or duplicated records"
+    );
+    assert_eq!(dag.group(hot).num_live(), 1);
+    assert_eq!(dag.group(hot).rescale_log().len(), 2 * ROUNDS as usize);
+    // Joins the controller thread: panics here if it panicked.
+    dag.shutdown();
 }

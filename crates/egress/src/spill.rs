@@ -131,6 +131,17 @@ impl SpillReader {
     }
 }
 
+/// Writes one frame's bytes to the active segment. Tests can make the
+/// next call on their thread write only a prefix and fail.
+fn write_frame(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
+    #[cfg(test)]
+    if let Some(n) = tests::SHORT_WRITE.take() {
+        file.write_all(&bytes[..n])?;
+        return Err(std::io::Error::other("injected short write"));
+    }
+    file.write_all(bytes)
+}
+
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
     dir.join(format!("spill-{first_seq:016x}.seg"))
 }
@@ -261,7 +272,8 @@ impl SpillQueue {
     /// Appends `records` as one frame, assigning delivery seqs.
     /// Returns `(first_seq, last_seq)` of the appended frame. The write
     /// is a single `write(2)` — done once this returns, the records
-    /// survive a process crash.
+    /// survive a process crash. A failed write leaves the queue as it
+    /// was, so the caller may retry.
     pub fn append(&mut self, records: &[Record]) -> Result<(u64, u64), EgressError> {
         assert!(!records.is_empty(), "empty spill append");
         let first_seq = self.next_seq;
@@ -297,7 +309,13 @@ impl SpillQueue {
             (cur_first, cur_bytes)
         };
 
-        self.active.write_all(&bytes)?;
+        if let Err(e) = write_frame(&mut self.active, &bytes) {
+            // A partial write left a torn frame at the tail: cut the
+            // segment back to its last whole frame, so a retried append
+            // lands at the offset the index records.
+            self.active.set_len(offset)?;
+            return Err(e.into());
+        }
         let seg = self.segments.get_mut(&seg_first).expect("segment exists");
         seg.bytes += bytes.len() as u64;
         seg.last_seq = Some(last_seq);
@@ -415,6 +433,13 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use elasticutor_core::ids::Key;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set to `Some(n)`: the thread's next frame write stops after
+        /// `n` bytes and fails.
+        pub(super) static SHORT_WRITE: Cell<Option<usize>> = const { Cell::new(None) };
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let p =
@@ -501,6 +526,34 @@ mod tests {
         let before = buf.clone();
         reader.read(&first, &mut buf).unwrap();
         assert_eq!(buf, before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_append_leaves_no_torn_bytes_behind() {
+        let dir = tmp("short-write");
+        let mut q = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        q.append(&recs(3, 0xA1)).unwrap();
+        // The disk takes half the next frame, then fails; the caller
+        // retries, as `TcpEgress::consume` does.
+        SHORT_WRITE.set(Some(20));
+        assert!(q.append(&recs(2, 0xB2)).is_err());
+        assert_eq!(q.next_seq(), 4, "a failed append assigned seqs");
+        assert_eq!(q.append(&recs(2, 0xB2)).unwrap(), (4, 5));
+        q.append(&recs(1, 0xC3)).unwrap();
+
+        let mut expect = Vec::new();
+        encode_data_frame(&mut expect, 1, &recs(3, 0xA1));
+        encode_data_frame(&mut expect, 4, &recs(2, 0xB2));
+        encode_data_frame(&mut expect, 6, &recs(1, 0xC3));
+        let (mut reader, mut got, mut buf, mut seq) = (q.reader(), Vec::new(), Vec::new(), 1);
+        while let Some(run) = q.pending_run(seq, 1) {
+            reader.read(&run, &mut buf).unwrap();
+            got.extend_from_slice(&buf);
+            seq = run.last_seq + 1;
+        }
+        assert_eq!(got, expect, "frames read back at the wrong offsets");
+        assert_eq!(std::fs::read(segment_path(&dir, 1)).unwrap(), expect);
         std::fs::remove_dir_all(&dir).ok();
     }
 

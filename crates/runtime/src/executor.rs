@@ -805,6 +805,12 @@ impl<O: Operator> ElasticExecutor<O> {
     /// otherwise). Records a full ring rejects are retried — with all
     /// guards dropped in between, so a pending pause can complete and
     /// the retry re-reads the (possibly changed) routing.
+    ///
+    /// Per shard, a pass's delivered records precede its diverted ones,
+    /// and a retried record precedes every record of its shard diverted
+    /// in an earlier pass — so each pass's diversions are spliced in
+    /// ahead of the wave's earlier ones, its ring-less groups ahead of
+    /// its own.
     fn route_wave(
         &self,
         wave: &mut Vec<(ShardId, Record)>,
@@ -812,7 +818,10 @@ impl<O: Operator> ElasticExecutor<O> {
         slow: &mut Vec<(ShardId, Record)>,
     ) {
         let mut retry: Vec<(ShardId, Record)> = Vec::new();
+        let wave_start = slow.len();
         loop {
+            // This pass's diverted records, in submission order per shard.
+            let mut diverted_now: Vec<(ShardId, Record)> = Vec::new();
             {
                 // Per-slot groups plus the guards pinning every routed
                 // shard.
@@ -820,7 +829,7 @@ impl<O: Operator> ElasticExecutor<O> {
                 let mut guards = Vec::new();
                 for (shard, record) in wave.drain(..) {
                     if !diverted.is_empty() && diverted.contains(&shard) {
-                        slow.push((shard, record));
+                        diverted_now.push((shard, record));
                         continue;
                     }
                     match self.inner.shard_table.begin_route(shard) {
@@ -836,14 +845,14 @@ impl<O: Operator> ElasticExecutor<O> {
                             let cell = self.inner.remote_fast[shard.index()].read();
                             match cell.as_ref() {
                                 Some(forward) => forward(shard, record),
-                                None => slow.push((shard, record)),
+                                None => diverted_now.push((shard, record)),
                             }
                             drop(cell);
                             drop(guard);
                         }
                         FastRoute::Paused => {
                             diverted.push(shard);
-                            slow.push((shard, record));
+                            diverted_now.push((shard, record));
                         }
                     }
                 }
@@ -863,7 +872,7 @@ impl<O: Operator> ElasticExecutor<O> {
                             }
                             None => {
                                 drop(cell);
-                                slow.extend(group);
+                                diverted_now.splice(0..0, group);
                             }
                         }
                     } else {
@@ -877,7 +886,7 @@ impl<O: Operator> ElasticExecutor<O> {
                             }
                             None => {
                                 drop(cell);
-                                slow.extend(group);
+                                diverted_now.splice(0..0, group);
                             }
                         }
                     }
@@ -886,6 +895,7 @@ impl<O: Operator> ElasticExecutor<O> {
                 // complete.
                 drop(guards);
             }
+            slow.splice(wave_start..wave_start, diverted_now);
             if retry.is_empty() {
                 return;
             }
@@ -1989,20 +1999,44 @@ impl<O: Operator> ElasticExecutor<O> {
     }
 }
 
+/// How long `process_items` may hold finished records' outputs before
+/// sending them downstream mid-batch. 100 µs is 3–10× one channel
+/// hand-off (the ledger's `runtime.handoff_us.p50`), so a flush costs a
+/// few percent of the time it saves. A flush also needs the record just
+/// finished to have taken half the budget on its own: an operator doing
+/// microseconds of work emits one batch per ring chunk even when the
+/// chunk as a whole runs past the budget (on a 2-core VM, splitting
+/// such chunks bought no latency and raised the ledger's
+/// `large_payload` `p99_ms.mid` by ≈ 14 %). A slow operator (the
+/// ledger's `skew_shift` sleeps 200 µs per record) emits after every
+/// record instead of holding each one behind the rest of its chunk.
+/// Internal on purpose: it trades hand-offs for latency at a scale set
+/// by the channel, not by the workload.
+const EMIT_BUDGET_NS: u64 = 100_000;
+
 /// Processes a routed batch (possibly of one): run the operator on each
-/// record, emit all outputs as one batch, account once per batch. Each
-/// record's single post-process clock read serves both its latency
-/// measurement and — via the last one — the batch's busy-time
-/// accounting (`1 + n` reads per batch, down from four per record),
-/// and latency stays accurate per record even when the operator is slow
+/// record and emit the outputs as one batch — or, after a slow record
+/// once [`EMIT_BUDGET_NS`] has passed since the last send, send what is
+/// finished so far and keep going, so a slow operator's first record
+/// does not wait for its last. Every send counts `emitted` before it and
+/// the records it covers as `processed` after it, then notifies: a
+/// record never counts as processed while its outputs are unsent.
+/// Busy time and latencies are accounted once per call. Each record's
+/// single post-process clock read serves its latency measurement, the
+/// flush check and — via the last one — the busy-time accounting, and
+/// latency stays accurate per record even when the operator is slow
 /// enough that batch-end stamping would inflate early records.
 fn process_items<O: Operator>(inner: &Inner<O>, slot: usize, items: &[(ShardId, Record)]) {
     let service_start = monotonic_ns();
     let mut done = service_start;
+    let mut last_send = service_start;
+    // When the current record began.
+    let mut started = service_start;
+    let mut unsent = 0usize;
     let mut outputs: RecordBatch = Vec::new();
     let mut latencies: Vec<u64> = Vec::with_capacity(items.len());
     let mut panics = 0u64;
-    for (shard, record) in items {
+    for (i, (shard, record)) in items.iter().enumerate() {
         let handle = inner.state.handle(*shard);
         // Failure isolation: a panicking operator must not take the task
         // thread (and with it every shard it owns) down. The record is
@@ -2027,23 +2061,26 @@ fn process_items<O: Operator>(inner: &Inner<O>, slot: usize, items: &[(ShardId, 
                 }
             }
         }
+        unsent += 1;
+        let slow = done.saturating_sub(started) >= EMIT_BUDGET_NS / 2;
+        started = done;
+        if slow && done.saturating_sub(last_send) >= EMIT_BUDGET_NS && i + 1 < items.len() {
+            send_outputs(inner, std::mem::take(&mut outputs));
+            inner.processed.fetch_add(unsent as u64, Ordering::AcqRel);
+            inner.progress.notify();
+            unsent = 0;
+            last_send = done;
+        }
     }
+    // Mid-batch sends count as busy: they are per-record work of this
+    // task, and the controller's μ must see them.
     inner
         .busy_ns
         .fetch_add(done.saturating_sub(service_start), Ordering::Relaxed);
     if panics > 0 {
         inner.operator_panics.fetch_add(panics, Ordering::Relaxed);
     }
-    if !outputs.is_empty() {
-        // Count *before* sending: quiescence checks compare `emitted`
-        // against the downstream consumer's counter, so a record must
-        // never be in the channel while uncounted. (Receiver may have
-        // hung up if the executor handle dropped; the batch is dropped.)
-        inner
-            .emitted
-            .fetch_add(outputs.len() as u64, Ordering::AcqRel);
-        let _ = inner.outputs.send(outputs);
-    }
+    send_outputs(inner, outputs);
     if inner.baseline {
         // The pre-optimization global histogram lock, once per record.
         for latency in latencies {
@@ -2056,12 +2093,24 @@ fn process_items<O: Operator>(inner: &Inner<O>, slot: usize, items: &[(ShardId, 
             cell.record(latency);
         }
     }
-    inner
-        .processed
-        .fetch_add(items.len() as u64, Ordering::AcqRel);
+    inner.processed.fetch_add(unsent as u64, Ordering::AcqRel);
     // After the counter is visible: wake any producer parked on progress
     // (one fenced load when nobody waits).
     inner.progress.notify();
+}
+
+/// Sends one output batch downstream, if there is anything in it.
+fn send_outputs<O: Operator>(inner: &Inner<O>, outputs: RecordBatch) {
+    if !outputs.is_empty() {
+        // Count *before* sending: quiescence checks compare `emitted`
+        // against the downstream consumer's counter, so a record must
+        // never be in the channel while uncounted. (Receiver may have
+        // hung up if the executor handle dropped; the batch is dropped.)
+        inner
+            .emitted
+            .fetch_add(outputs.len() as u64, Ordering::AcqRel);
+        let _ = inner.outputs.send(outputs);
+    }
 }
 
 /// Completes (or aborts) the reassignment named by a labeling tuple —

@@ -102,9 +102,11 @@ impl PipelineBuilder {
     /// most this many ingested-but-unprocessed **records** (enforced by
     /// its pump). The ingress and inter-stage channels are bounded to
     /// the same number of **batch slots**; ingress slots and pump
-    /// submissions hold at most [`Self::max_batch`] records each, and a
-    /// task emits one output batch per input batch, so the records
-    /// buffered per hop are bounded by `capacity × max_batch × fanout`
+    /// submissions hold at most [`Self::max_batch`] records each, and an
+    /// output batch carries the outputs of at most one input batch (a
+    /// slow operator sends one input batch's outputs as several smaller
+    /// batches), so the records buffered per hop are bounded by
+    /// `capacity × max_batch × fanout`
     /// (fanout = the operator's output amplification, 1 for
     /// filters/maps) and the stall still propagates to the pipeline's
     /// blocking [`Ingest`] entry.
@@ -526,8 +528,10 @@ mod tests {
         // Per hop a record can sit in: the ingress channel (cap
         // one-record batches), a pump's hand (< max_batch + an emitted
         // batch), a stage's in-flight budget (cap), or the inter-stage
-        // channel (cap batches × up to max_batch records each, since
-        // tasks emit per processed batch). Two stages, max_batch = 8.
+        // channel (cap batches × up to max_batch records each: a task
+        // sends a processed batch's outputs in one batch, or — with this
+        // 400 µs operator — record by record, never more than one input
+        // batch's worth in one). Two stages, max_batch = 8.
         let b = 8u64;
         let bound = cap + 2 * (2 * b) + 2 * cap + cap * b;
         for i in 0..400u64 {

@@ -1,15 +1,20 @@
 //! Stress tests of the per-task SPSC ring plane: a single-producer
 //! executor under shrink/grow churn must preserve per-key FIFO and lose
 //! no record while task slots (and their rings) retire and get reused,
-//! and the `ring_capacity` knob must hold at pathological sizes.
+//! and the `ring_capacity` knob must hold at pathological sizes. A slow
+//! operator's outputs leave as each record finishes, not at the end of
+//! its chunk, and fast batches are not split.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use bytes::Bytes;
-use elasticutor_core::ids::Key;
+use elasticutor_core::ids::{Key, ShardId};
 use elasticutor_runtime::Ingest;
-use elasticutor_runtime::{ElasticExecutor, ExecutorConfig, FifoChecker, Record};
+use elasticutor_runtime::{
+    ElasticExecutor, ExecutorConfig, FifoChecker, Pipeline, Record, RecordBatch,
+};
 use elasticutor_state::StateHandle;
 
 fn ring_config(max_task_slots: u32, ring_capacity: Option<usize>) -> ExecutorConfig {
@@ -211,4 +216,171 @@ fn reassignment_watermarks_preserve_order() {
         checker.violations()
     );
     assert!(moves > 0, "the mover never initiated a reassignment");
+}
+
+/// A 2 ms operator handed one 5-record batch of one shard sends the
+/// first record's output as soon as that record is done: by the time
+/// the third record finishes, output batches are already waiting on
+/// the channel (a batch-at-the-end task sends nothing for ~10 ms).
+#[test]
+fn slow_operator_emits_before_its_batch_ends() {
+    let outputs: Arc<OnceLock<crossbeam::channel::Receiver<RecordBatch>>> =
+        Arc::new(OnceLock::new());
+    let waiting_at_third = Arc::new(AtomicUsize::new(usize::MAX));
+    let exec = {
+        let outputs = Arc::clone(&outputs);
+        let waiting_at_third = Arc::clone(&waiting_at_third);
+        ElasticExecutor::start(ring_config(4, None), move |r: &Record, _s: &StateHandle| {
+            std::thread::sleep(Duration::from_millis(2));
+            if r.seq == 2 {
+                let queued = outputs.get().expect("set before ingest").len();
+                waiting_at_third.store(queued, Ordering::SeqCst);
+            }
+            vec![r.clone()]
+        })
+    };
+    outputs.set(exec.outputs().clone()).ok();
+    exec.ingest_batch_routed((0..5u64).map(|seq| {
+        (
+            ShardId(0),
+            Record::new(Key(seq), Bytes::new()).with_seq(seq),
+        )
+    }));
+    exec.wait_for_processed(5);
+    assert!(
+        waiting_at_third.load(Ordering::SeqCst) >= 1,
+        "no output had left when the third record finished"
+    );
+    let first = exec.outputs().recv().expect("an output batch");
+    assert_eq!(
+        first.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        vec![0],
+        "the first record's output waited for the rest of its batch"
+    );
+    let rest: Vec<u64> = exec.outputs().try_iter().flatten().map(|r| r.seq).collect();
+    assert_eq!(rest, vec![1, 2, 3, 4]);
+    assert_eq!(exec.shutdown().processed, 5);
+}
+
+/// A no-op operator finishes a routed 64-record batch far inside the
+/// emit budget, so it still leaves as one output batch: at most 1.1×
+/// as many output batches as input batches (slack for a preempted
+/// task thread).
+#[test]
+fn fast_batches_are_not_split() {
+    const BATCHES: usize = 200;
+    const PER_BATCH: u64 = 64;
+    let exec = ElasticExecutor::start(
+        ExecutorConfig {
+            num_shards: 32,
+            initial_tasks: 1,
+            // The mutex plane routes record by record, so input batches
+            // would not reach the task whole.
+            baseline_locked_routing: false,
+            ..ExecutorConfig::default()
+        },
+        |r: &Record, _s: &StateHandle| vec![r.clone()],
+    );
+    for b in 0..BATCHES as u64 {
+        exec.ingest_batch_routed((0..PER_BATCH).map(|i| {
+            let key = b * PER_BATCH + i;
+            (
+                ShardId((key % 32) as u32),
+                Record::new(Key(key), Bytes::new()),
+            )
+        }));
+    }
+    let total = BATCHES as u64 * PER_BATCH;
+    exec.wait_for_processed(total);
+    let out: Vec<RecordBatch> = exec.outputs().try_iter().collect();
+    assert_eq!(out.iter().map(Vec::len).sum::<usize>() as u64, total);
+    assert!(
+        out.len() * 10 <= BATCHES * 11,
+        "{} output batches for {BATCHES} input batches",
+        out.len()
+    );
+    exec.shutdown();
+}
+
+/// A slow first stage flushing after every record while a mover thread
+/// reassigns its shards between tasks: mid-chunk sends, the §3.3
+/// pause-buffer flushes and the labels interleave, yet nothing is lost
+/// or reordered per key, and the DAG's counters settle to quiescent.
+#[test]
+fn mid_chunk_flushes_survive_concurrent_reassignment() {
+    const KEYS: u64 = 16;
+    const PER_KEY: u64 = 60;
+    let stage = ExecutorConfig {
+        num_shards: 16,
+        initial_tasks: 2,
+        max_task_slots: 4,
+        ..ExecutorConfig::default()
+    };
+    let pipe = Pipeline::builder()
+        .stage("slow", stage.clone(), |r: &Record, _s: &StateHandle| {
+            // Past the emit budget on every record.
+            std::thread::sleep(Duration::from_micros(150));
+            vec![r.clone()]
+        })
+        .stage(
+            "pass",
+            stage,
+            |r: &Record, _s: &StateHandle| vec![r.clone()],
+        )
+        .build();
+    let slow = Arc::clone(pipe.executor(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let mover = {
+        let stop = Arc::clone(&stop);
+        let slow = Arc::clone(&slow);
+        std::thread::spawn(move || {
+            let mut moves = 0u64;
+            let mut i = 0u32;
+            while !stop.load(Ordering::Relaxed) {
+                let tasks = slow.tasks();
+                // Offset by one from the round-robin start, so the
+                // first pass already moves every shard.
+                let to = tasks[(i as usize + 1) % tasks.len()];
+                if slow.reassign_shard(ShardId(i % 16), to).is_ok() {
+                    moves += 1;
+                }
+                i = i.wrapping_add(1);
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            moves
+        })
+    };
+    for seq in 0..PER_KEY {
+        pipe.ingest_batch(
+            (0..KEYS)
+                .map(|key| Record::new(Key(key), Bytes::new()).with_seq(seq))
+                .collect(),
+        );
+    }
+    pipe.drain();
+    stop.store(true, Ordering::Relaxed);
+    let moves = mover.join().expect("mover exits");
+    assert!(pipe.is_quiescent(), "counters did not settle after drain");
+    let checker = FifoChecker::new();
+    let mut delivered = 0u64;
+    for batch in pipe.outputs().try_iter() {
+        for r in batch {
+            checker.observe(r.key, r.seq);
+            delivered += 1;
+        }
+    }
+    assert_eq!(delivered, KEYS * PER_KEY, "records lost or duplicated");
+    assert!(
+        checker.is_clean(),
+        "FIFO violated across {moves} reassignments: {:?}",
+        checker.violations()
+    );
+    assert!(moves > 0, "the mover never reassigned a shard");
+    let stats = slow.stats();
+    assert!(
+        stats.processed == KEYS * PER_KEY && stats.operator_panics == 0,
+        "{stats:?}"
+    );
+    drop(slow);
+    pipe.shutdown();
 }

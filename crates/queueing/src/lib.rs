@@ -18,7 +18,8 @@
 //!
 //! Modules:
 //! * [`mmk`] — numerically stable Erlang-C and M/M/k waiting/sojourn
-//!   times.
+//!   times, and the stability floors of a pooled station and of `k`
+//!   key-partitioned tasks.
 //! * [`jackson`] — the network model: per-executor measurements, rate
 //!   propagation through a topology, and `E[T](k)` evaluation.
 //! * [`mod@allocate`] — the greedy core-allocation algorithm (minimize Σk_j
@@ -33,4 +34,7 @@ pub mod mmk;
 
 pub use allocate::{allocate, AllocationOutcome, AllocationRequest};
 pub use jackson::{propagate_rates, ExecutorLoad, JacksonNetwork};
-pub use mmk::{erlang_c, expected_sojourn, expected_wait, min_stable_servers, utilization};
+pub use mmk::{
+    erlang_c, expected_sojourn, expected_wait, min_partitioned_servers, min_stable_servers,
+    utilization,
+};

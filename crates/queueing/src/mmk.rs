@@ -42,6 +42,27 @@ pub fn min_stable_servers(lambda: f64, mu: f64) -> u32 {
     clamped as u32 + 1
 }
 
+/// The minimum number of **key-partitioned** single-server tasks for
+/// which the busiest task is stable.
+///
+/// [`min_stable_servers`] assumes one shared queue (a pooled M/M/k). An
+/// elastic executor instead hash-partitions its shards across `k` tasks,
+/// each with its own queue, and its §3.1 balancer only promises that the
+/// busiest task carries at most `skew` times the mean. One task carries
+/// all of `λ`; with `k ≥ 2` the busiest carries up to `skew · λ/k`, so
+/// the floor is 1 when `λ < μ` and `max(2, ⌊skew·λ/μ⌋ + 1)` otherwise.
+/// With `skew = 1` it equals [`min_stable_servers`] whenever `λ ≥ μ`.
+///
+/// Panics if `μ <= 0`, `λ < 0` or `skew < 1`.
+#[inline]
+pub fn min_partitioned_servers(lambda: f64, mu: f64, skew: f64) -> u32 {
+    assert!(skew >= 1.0, "skew must be at least 1");
+    if lambda < mu {
+        return 1;
+    }
+    min_stable_servers(skew * lambda, mu).max(2)
+}
+
 /// Erlang-C: the probability that an arriving job must wait.
 ///
 /// Returns 1.0 for unstable queues (`ρ >= 1`): every job waits and the
@@ -189,6 +210,27 @@ mod tests {
                 assert!(utilization(l, m, k - 1) >= 1.0);
             }
         }
+    }
+
+    #[test]
+    fn min_partitioned_servers_boundary() {
+        // One task carries everything: 1 exactly when λ < μ.
+        assert_eq!(min_partitioned_servers(0.0, 1.0, 1.2), 1);
+        assert_eq!(min_partitioned_servers(0.99, 1.0, 1.2), 1);
+        assert_eq!(min_partitioned_servers(1.0, 1.0, 1.2), 2);
+        // `skew_shift`'s settled `count`: pooled says 2, partitioned 3.
+        let (lambda, mu) = (7_600.0, 3_860.0);
+        assert_eq!(min_stable_servers(lambda, mu), 2);
+        assert_eq!(min_partitioned_servers(lambda, mu, 1.2), 3);
+        // At skew 1 the two floors agree once λ ≥ μ.
+        assert_eq!(min_partitioned_servers(7.99, 2.0, 1.0), 4);
+        assert_eq!(min_partitioned_servers(8.0, 2.0, 1.0), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "skew must be at least 1")]
+    fn min_partitioned_servers_rejects_skew_below_one() {
+        min_partitioned_servers(1.0, 1.0, 0.9);
     }
 
     #[test]

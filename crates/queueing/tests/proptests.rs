@@ -2,7 +2,8 @@
 
 use elasticutor_queueing::jackson::{ExecutorLoad, JacksonNetwork};
 use elasticutor_queueing::{
-    allocate, erlang_c, expected_sojourn, expected_wait, min_stable_servers, AllocationRequest,
+    allocate, erlang_c, expected_sojourn, expected_wait, min_partitioned_servers,
+    min_stable_servers, AllocationRequest,
 };
 use proptest::prelude::*;
 
@@ -40,6 +41,38 @@ proptest! {
             prop_assert!(t >= 1.0 / mu - 1e-12);
             prev = w;
         }
+    }
+
+    /// The partitioned floor is the fewest tasks whose busiest task
+    /// (all of λ alone, `skew·λ/k` among k ≥ 2) is stable; it is 1
+    /// exactly when λ < μ, matches the pooled floor at skew 1 once
+    /// λ ≥ μ, and grows with both λ and skew.
+    #[test]
+    fn partitioned_floor_sizes_the_busiest_task(
+        lambda in 0.0f64..500.0,
+        mu in 0.01f64..100.0,
+        skew in 1.0f64..3.0,
+        more_lambda in 0.0f64..100.0,
+        more_skew in 0.0f64..1.0,
+    ) {
+        let busiest = |k: u32| if k == 1 { lambda } else { skew * lambda / f64::from(k) };
+        let k = min_partitioned_servers(lambda, mu, skew);
+        prop_assert!(busiest(k) < mu * (1.0 + 1e-9), "k = {k} leaves the busiest task unstable");
+        if k >= 2 {
+            prop_assert!(
+                busiest(k - 1) >= mu * (1.0 - 1e-9),
+                "k - 1 = {} would already be stable", k - 1
+            );
+        }
+        prop_assert_eq!(k == 1, lambda < mu);
+        if lambda >= mu {
+            prop_assert_eq!(
+                min_partitioned_servers(lambda, mu, 1.0),
+                min_stable_servers(lambda, mu)
+            );
+        }
+        prop_assert!(min_partitioned_servers(lambda + more_lambda, mu, skew) >= k);
+        prop_assert!(min_partitioned_servers(lambda, mu, skew + more_skew) >= k);
     }
 
     /// The allocator always returns at least the stability minimum when

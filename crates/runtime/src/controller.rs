@@ -9,16 +9,28 @@
 //! measurements (λ from arrivals + standing backlog, μ from processed
 //! records over busy nanoseconds), and feeds them to the model-based
 //! [`DynamicScheduler`] (§4) against a single-node [`ClusterSpec`]
-//! whose core count is the graph's task budget. The decision's core
-//! deltas are applied **live**: grants call [`ExecutorGroup::add_task`]
-//! (placed on the least-loaded instance), revocations call
-//! [`ExecutorGroup::remove_task_newest`] (which drains the victim's
-//! shards through the §3.3 reassignment protocol while records keep
-//! flowing). After reallocation each operator gets an intra-executor
-//! rebalance pass (§3.1). The graph's shape never enters the decision —
-//! the scheduler sees one λ/μ pair per operator group — so a load spike
-//! on one branch of a diamond pulls cores from the idle branch exactly
-//! as it would from an upstream stage in a chain.
+//! whose core count is the graph's task budget.
+//!
+//! The scheduler models each operator as one pooled M/M/k queue, which
+//! a live group is not: it hash-partitions its shards over per-task
+//! queues. So its targets pass two live clamps, always within the
+//! budget. First, the **instance floor**: a group never holds fewer
+//! than one task per live instance, and the slackest stages are shaved
+//! when the floored sum overruns the budget. Second, the **busiest-task
+//! floor**: spare budget raises each operator, largest deficit first,
+//! toward the task count at which its busiest task is stable, given the
+//! §3.1 balancer's bound `imbalance_threshold` on busiest over mean
+//! ([`min_partitioned_servers`]).
+//!
+//! The clamped targets are applied **live**: grants call
+//! [`ExecutorGroup::add_task`] (placed on the least-loaded instance),
+//! revocations call [`ExecutorGroup::remove_task_newest`] (which drains
+//! the victim's shards through the §3.3 reassignment protocol while
+//! records keep flowing). After reallocation each operator gets an
+//! intra-executor rebalance pass (§3.1). The graph's shape never enters
+//! the decision — the scheduler sees one λ/μ pair per operator group —
+//! so a load spike on one branch of a diamond pulls cores from the idle
+//! branch exactly as it would from an upstream stage in a chain.
 //!
 //! With [`ControllerConfig::auto_instances`] the same λ/μ model also
 //! drives the **instance count**: when an operator's core target
@@ -39,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use elasticutor_core::ids::NodeId;
 use elasticutor_scheduler::assignment::{Assignment, ClusterSpec};
+use elasticutor_scheduler::queueing::min_partitioned_servers;
 use elasticutor_scheduler::scheduler::{
     DynamicScheduler, ExecutorMeasurement, SchedulerConfig, SchedulerPolicy,
 };
@@ -76,15 +89,15 @@ pub struct ControllerConfig {
     /// naive-EC ablation; placement is trivial on one node, but the
     /// policy also controls allocation hysteresis).
     pub policy: SchedulerPolicy,
-    /// Trim surplus task threads back to the free pool when a stage has
-    /// held more cores than its target for [`Self::reclaim_patience`]
-    /// consecutive ticks. Algorithm 1 itself only revokes a core when
-    /// another executor claims it (constraint `X_j ≥ k_j`) — correct for
-    /// cluster core *ownership*, but live task threads on one box cost
-    /// OS-scheduler overhead even when idle, so the live controller
-    /// returns them. One thread per stage per tick, never below one.
+    /// Retry a revocation that did not take. Each tick already revokes
+    /// every stage down to its target; when a removal fails (the victim
+    /// is already draining, or every instance is at one task), the stage
+    /// stays above target. With this set, once a stage has sat above
+    /// target for [`Self::reclaim_patience`] consecutive ticks, each
+    /// further tick retries one removal. Never below one task per live
+    /// instance.
     pub reclaim_surplus: bool,
-    /// Consecutive over-target ticks before surplus reclamation starts.
+    /// Consecutive over-target ticks before the surplus retry starts.
     pub reclaim_patience: u32,
     /// Let the controller resize operator **instance counts** too: when
     /// an operator's core target exceeds
@@ -134,7 +147,9 @@ pub struct ControllerEvent {
     pub lambda: Vec<f64>,
     /// Measured (or fallback) per-core service rate per stage.
     pub mu: Vec<f64>,
-    /// Core targets the scheduler requested per stage.
+    /// Core targets the scheduler requested per stage, **before** the
+    /// live clamps (the one-task-per-instance floor, the budget shave,
+    /// the busiest-task floor); `cores` shows what was applied.
     pub targets: Vec<u32>,
     /// Live task counts per stage after applying the decision.
     pub cores: Vec<u32>,
@@ -362,6 +377,31 @@ impl LiveController {
             targets[j] -= 1;
         }
 
+        // The scheduler sizes each operator as one pooled M/M/k queue,
+        // but a group hash-partitions its shards over per-task queues
+        // and the §3.1 balancer only bounds the busiest task to
+        // `imbalance_threshold` × the mean. Raise each target toward the
+        // count at which that busiest task is stable, largest deficit
+        // first, from spare budget only: a sum above `total_cores`
+        // would make the next tick's `current` infeasible for good.
+        let busiest_floors: Vec<u32> = self
+            .stages
+            .iter()
+            .zip(lambda.iter().zip(&mu))
+            .map(|(s, (&l, &m))| min_partitioned_servers(l, m, s.imbalance_threshold()))
+            .collect();
+        let mut spare = self.config.total_cores.saturating_sub(targets.iter().sum());
+        while spare > 0 {
+            let Some(j) = (0..targets.len())
+                .filter(|&j| busiest_floors[j] > targets[j])
+                .max_by_key(|&j| busiest_floors[j] - targets[j])
+            else {
+                break;
+            };
+            targets[j] += 1;
+            spare -= 1;
+        }
+
         // Apply: grants first so revoked shards can drain onto the new
         // threads directly; never drop a stage below one task per live
         // instance. Grants land on the group's least-loaded live
@@ -382,7 +422,7 @@ impl LiveController {
             }
         }
 
-        // Surplus reclamation (live-runtime extension; see
+        // Retry revocations the apply step could not complete (see
         // `ControllerConfig::reclaim_surplus`).
         if self.config.reclaim_surplus {
             for (j, stage) in self.stages.iter().enumerate() {
@@ -441,8 +481,10 @@ impl LiveController {
             saturated: decision.saturated,
         };
         if self.config.verbose {
+            let rates = |v: &[f64]| v.iter().map(|&r| r as u64).collect::<Vec<_>>();
             eprintln!(
-                "[controller t={:>6}ms] cores={:?} targets={:?} lambda={:?} saturated={}",
+                "[controller t={:>6}ms] cores={:?} targets={:?} applied={:?} lambda={:?} mu={:?} \
+                 moves={} saturated={}",
                 event.at_ms,
                 event
                     .cores
@@ -451,7 +493,10 @@ impl LiveController {
                     .map(|(c, n)| format!("{n}:{c}"))
                     .collect::<Vec<_>>(),
                 event.targets,
-                event.lambda.iter().map(|l| *l as u64).collect::<Vec<_>>(),
+                targets,
+                rates(&event.lambda),
+                rates(&event.mu),
+                event.rebalance_moves,
                 event.saturated,
             );
         }

@@ -306,6 +306,13 @@ impl ExecutorGroup {
         agg
     }
 
+    /// The §3.1 balancer's bound on busiest-task load over the mean
+    /// task load (`ExecutorConfig::imbalance_threshold`) — the skew the
+    /// controller sizes the group's busiest task for.
+    pub(crate) fn imbalance_threshold(&self) -> f64 {
+        self.template.imbalance_threshold
+    }
+
     /// Live task threads across all live instances (the group's "core"
     /// count as the controller sees it).
     pub fn total_tasks(&self) -> usize {

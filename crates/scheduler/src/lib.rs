@@ -34,6 +34,10 @@ pub mod assignment;
 pub mod cost;
 pub mod scheduler;
 
+/// The queueing model the scheduler sizes executors with, for callers
+/// that apply its stability floors themselves.
+pub use elasticutor_queueing as queueing;
+
 pub use algorithm::{assign_cores, AssignError, AssignmentPlan};
 pub use assignment::{Assignment, ClusterSpec, CoreDelta};
 pub use cost::{allocation_cost, deallocation_cost, transition_cost};
